@@ -1,12 +1,13 @@
 //! Materialized intermediate results and selection vectors.
 //!
 //! A [`Chunk`] is what flows between operators: a set of named, typed,
-//! equal-length columns. The original operator-at-a-time engine
-//! materialized every intermediate; since the selection-vector rework the
-//! kernels can instead pass a `(Chunk, Option<&SelVec>)` pair — the base
-//! columns untouched plus a [`SelVec`] of qualifying row positions — and
-//! only pipeline breakers (join build sides, sort, final output)
-//! materialize. [`LazyChunk`] is the operator-output form carrying either
+//! equal-length columns. Columns are shared buffers (`Arc<ColumnData>`):
+//! a scan hands the table's own columns to its chunk, and projecting or
+//! cloning a chunk bumps reference counts instead of copying payloads.
+//! The kernels pass a `(Chunk, Option<&SelVec>)` pair — the base columns
+//! untouched plus a [`SelVec`] of qualifying row positions — and only
+//! pipeline breakers (join build sides, sort, final output) materialize.
+//! [`LazyChunk`] is the operator-output form carrying either
 //! representation.
 
 use robustq_storage::{ColumnData, DataType, Field, Table, Value};
@@ -93,6 +94,17 @@ pub enum LazyChunk {
 }
 
 impl LazyChunk {
+    /// View `base` through `sel` without copying. A zero-column base stays
+    /// materialized: such a chunk reports zero rows (row counts come from
+    /// the first column), and the view must report exactly the rows its
+    /// gather would.
+    pub fn filtered(base: Chunk, sel: SelVec) -> Self {
+        if base.num_columns() == 0 {
+            return LazyChunk::Materialized(base);
+        }
+        LazyChunk::Filtered { base: Arc::new(base), sel }
+    }
+
     /// Logical number of rows (selected rows for `Filtered`).
     pub fn num_rows(&self) -> usize {
         match self {
@@ -135,7 +147,8 @@ impl LazyChunk {
         }
     }
 
-    /// Materialized view without consuming (clones `Materialized`).
+    /// Materialized view without consuming (`Materialized` shares its
+    /// column buffers).
     pub fn chunk(&self) -> Chunk {
         match self {
             LazyChunk::Materialized(c) => c.clone(),
@@ -150,16 +163,21 @@ impl From<Chunk> for LazyChunk {
     }
 }
 
-/// A fully materialized intermediate result.
+/// A fully materialized intermediate result over shared column buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Chunk {
     fields: Vec<Field>,
-    columns: Vec<ColumnData>,
+    columns: Vec<Arc<ColumnData>>,
 }
 
 impl Chunk {
     /// Build a chunk; panics (debug) if lengths are inconsistent.
     pub fn new(fields: Vec<Field>, columns: Vec<ColumnData>) -> Self {
+        Chunk::shared(fields, columns.into_iter().map(Arc::new).collect())
+    }
+
+    /// Build a chunk over already-shared column buffers (no copy).
+    pub fn shared(fields: Vec<Field>, columns: Vec<Arc<ColumnData>>) -> Self {
         debug_assert_eq!(fields.len(), columns.len());
         debug_assert!(
             columns.windows(2).all(|w| w[0].len() == w[1].len()),
@@ -177,7 +195,8 @@ impl Chunk {
         Chunk { fields: Vec::new(), columns: Vec::new() }
     }
 
-    /// Materialize selected columns of a base table into a chunk.
+    /// Selected columns of a base table as a chunk sharing the table's
+    /// column buffers (no payload is copied).
     ///
     /// Column order follows `columns`; unknown names are an error.
     pub fn from_table(table: &Table, columns: &[String]) -> Result<Self, String> {
@@ -189,31 +208,7 @@ impl Chunk {
                 .index_of(name)
                 .ok_or_else(|| format!("no column {name} in table {}", table.name()))?;
             fields.push(table.schema().field(idx).clone());
-            data.push(table.column_at(idx).clone());
-        }
-        Ok(Chunk { fields, columns: data })
-    }
-
-    /// Materialize selected columns of the row range `[lo, hi)` of a base
-    /// table into a chunk. This is the windowed-scan entry point: string
-    /// columns share the table's dictionary (codes are stable under
-    /// append), so a range chunk is value-identical to the same rows of
-    /// the full table.
-    pub fn from_table_range(
-        table: &Table,
-        columns: &[String],
-        lo: usize,
-        hi: usize,
-    ) -> Result<Self, String> {
-        let mut fields = Vec::with_capacity(columns.len());
-        let mut data = Vec::with_capacity(columns.len());
-        for name in columns {
-            let idx = table
-                .schema()
-                .index_of(name)
-                .ok_or_else(|| format!("no column {name} in table {}", table.name()))?;
-            fields.push(table.schema().field(idx).clone());
-            data.push(table.column_slice(idx, lo, hi));
+            data.push(Arc::clone(&table.columns()[idx]));
         }
         Ok(Chunk { fields, columns: data })
     }
@@ -223,14 +218,14 @@ impl Chunk {
         &self.fields
     }
 
-    /// The column data, in field order.
-    pub fn columns(&self) -> &[ColumnData] {
+    /// The column data, in field order (shared buffers).
+    pub fn columns(&self) -> &[Arc<ColumnData>] {
         &self.columns
     }
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map_or(0, ColumnData::len)
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Number of columns.
@@ -240,7 +235,7 @@ impl Chunk {
 
     /// Payload bytes over all columns — the footprint/transfer unit.
     pub fn byte_size(&self) -> u64 {
-        self.columns.iter().map(ColumnData::byte_size).sum()
+        self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
     /// Index of the column named `name`.
@@ -250,7 +245,7 @@ impl Chunk {
 
     /// Column by name.
     pub fn column(&self, name: &str) -> Option<&ColumnData> {
-        self.index_of(name).map(|i| &self.columns[i])
+        self.index_of(name).map(|i| &*self.columns[i])
     }
 
     /// Column by name, with a descriptive error.
@@ -277,7 +272,7 @@ impl Chunk {
     pub fn gather(&self, positions: &[u32]) -> Chunk {
         Chunk {
             fields: self.fields.clone(),
-            columns: self.columns.iter().map(|c| c.gather(positions)).collect(),
+            columns: self.columns.iter().map(|c| Arc::new(c.gather(positions))).collect(),
         }
     }
 
@@ -312,11 +307,11 @@ impl Chunk {
         }
         let mut columns = Vec::with_capacity(first.num_columns());
         for c in 0..first.num_columns() {
-            let col = match &first.columns[c] {
+            let col = match &*first.columns[c] {
                 ColumnData::Int32(_) => ColumnData::Int32(
                     parts
                         .iter()
-                        .flat_map(|p| match &p.columns[c] {
+                        .flat_map(|p| match &*p.columns[c] {
                             ColumnData::Int32(v) => v.iter().copied(),
                             _ => unreachable!("schemas checked"),
                         })
@@ -325,7 +320,7 @@ impl Chunk {
                 ColumnData::Int64(_) => ColumnData::Int64(
                     parts
                         .iter()
-                        .flat_map(|p| match &p.columns[c] {
+                        .flat_map(|p| match &*p.columns[c] {
                             ColumnData::Int64(v) => v.iter().copied(),
                             _ => unreachable!("schemas checked"),
                         })
@@ -334,14 +329,14 @@ impl Chunk {
                 ColumnData::Float64(_) => ColumnData::Float64(
                     parts
                         .iter()
-                        .flat_map(|p| match &p.columns[c] {
+                        .flat_map(|p| match &*p.columns[c] {
                             ColumnData::Float64(v) => v.iter().copied(),
                             _ => unreachable!("schemas checked"),
                         })
                         .collect(),
                 ),
                 ColumnData::Str(_) => {
-                    let strings = parts.iter().flat_map(|p| match &p.columns[c] {
+                    let strings = parts.iter().flat_map(|p| match &*p.columns[c] {
                         ColumnData::Str(d) => {
                             (0..d.len()).map(move |i| d.get(i).to_owned())
                         }
@@ -350,7 +345,7 @@ impl Chunk {
                     ColumnData::Str(robustq_storage::DictColumn::from_strings(strings))
                 }
             };
-            columns.push(col);
+            columns.push(Arc::new(col));
         }
         Ok(Chunk { fields: first.fields.clone(), columns })
     }
@@ -433,6 +428,79 @@ mod tests {
         assert_eq!(c.num_columns(), 1);
         assert_eq!(c.column("b").unwrap(), t.column("b").unwrap());
         assert!(Chunk::from_table(&t, &["zz".into()]).is_err());
+    }
+
+    fn table() -> Table {
+        Table::new(
+            "t",
+            Schema::new(vec![
+                Field::new("a", DataType::Int32),
+                Field::new("s", DataType::Str),
+            ]),
+            vec![
+                ColumnData::Int32(vec![1, 2, 3]),
+                ColumnData::Str(DictColumn::from_strings(["x", "y", "x"])),
+            ],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn from_table_and_keep_columns_share_table_buffers() {
+        let t = table();
+        let c = Chunk::from_table(&t, &["s".into(), "a".into()]).unwrap();
+        assert!(Arc::ptr_eq(&c.columns()[0], &t.columns()[1]));
+        assert!(Arc::ptr_eq(&c.columns()[1], &t.columns()[0]));
+        let kept = crate::ops::project::keep_columns(&c, &["a".into()]).unwrap();
+        assert!(Arc::ptr_eq(&kept.columns()[0], &t.columns()[0]));
+        // Cloning a chunk, materialized or lazy, shares buffers too.
+        let lazy = LazyChunk::Materialized(kept).clone();
+        assert!(Arc::ptr_eq(&lazy.parts().0.columns()[0], &t.columns()[0]));
+    }
+
+    #[test]
+    fn append_copies_on_write_under_a_live_chunk() {
+        let mut t = table();
+        let c = Chunk::from_table(&t, &["a".into(), "s".into()]).unwrap();
+        let before = c.clone();
+        t.append_batch(
+            vec![
+                ColumnData::Int32(vec![4]),
+                ColumnData::Str(DictColumn::from_strings(["z"])),
+            ],
+            1,
+            1 << 10,
+        )
+        .unwrap();
+        // The chunk keeps its snapshot; the table grew a fresh copy.
+        assert_eq!(c, before);
+        assert_eq!(c.num_rows(), 3);
+        assert_eq!(t.num_rows(), 4);
+        assert_eq!(t.column("a").unwrap(), &ColumnData::Int32(vec![1, 2, 3, 4]));
+        assert!(!Arc::ptr_eq(&c.columns()[0], &t.columns()[0]));
+        // With no chunk holding it, an append grows the buffer in place.
+        let ptr = Arc::as_ptr(&t.columns()[0]);
+        drop((c, before));
+        t.append_batch(
+            vec![
+                ColumnData::Int32(vec![5]),
+                ColumnData::Str(DictColumn::from_strings(["x"])),
+            ],
+            2,
+            1 << 10,
+        )
+        .unwrap();
+        assert_eq!(Arc::as_ptr(&t.columns()[0]), ptr);
+    }
+
+    #[test]
+    fn filtered_view_of_zero_columns_stays_materialized() {
+        let v = LazyChunk::filtered(Chunk::empty(), SelVec::all(5));
+        assert!(matches!(v, LazyChunk::Materialized(_)));
+        assert_eq!(v.num_rows(), v.materialize().num_rows());
+        let v = LazyChunk::filtered(chunk(), SelVec::new(vec![0, 2]));
+        assert_eq!(v.num_rows(), 2);
+        assert_eq!(v.byte_size(), chunk().gather(&[0, 2]).byte_size());
     }
 
     #[test]

@@ -400,6 +400,7 @@ impl Sim<'_, '_> {
     pub(crate) fn on_query_done(&mut self, query: usize) -> Result<(), EngineError> {
         let q = &self.queries[query];
         let root = q.root;
+        let first_task = q.first_task;
         let session = q.session;
         let seq = q.seq;
         let submit_time = q.submit_time;
@@ -427,6 +428,7 @@ impl Sim<'_, '_> {
             faults: self.query_faults[query],
             result: self.opts.capture_results.then_some(output),
         });
+        self.tasks.retire(first_task..=root);
         self.active_queries -= 1;
 
         // Periodic data-placement background job (Section 3.2). The

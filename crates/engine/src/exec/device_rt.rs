@@ -131,17 +131,18 @@ impl Sim<'_, '_> {
         }
 
         // Compute the kernel result eagerly (host side); reuse a result
-        // computed before an abort.
+        // computed before an abort. Child outputs *move* into the kernel:
+        // nothing reads them once the parent's result exists, and an
+        // aborted parent restarts from its own retained result.
         if self.tasks[task].output.is_none() {
-            let children_chunks: Vec<crate::batch::LazyChunk> = self.tasks[task]
-                .children
-                .iter()
-                .map(|&c| {
-                    self.tasks[c].output.clone().ok_or_else(|| {
-                        EngineError::Internal("child output missing".to_string())
-                    })
-                })
-                .collect::<Result<_, _>>()?;
+            let mut children_chunks = Vec::with_capacity(self.tasks[task].children.len());
+            for i in 0..self.tasks[task].children.len() {
+                let c = self.tasks[task].children[i];
+                let out = self.tasks[c].output.take().ok_or_else(|| {
+                    EngineError::Internal("child output missing".to_string())
+                })?;
+                children_chunks.push(out);
+            }
             // A standing-query tick scans only its window's rows of the
             // fed table; batch queries (window `None`) take the plain
             // path, byte-identical to earlier releases.
@@ -445,7 +446,8 @@ impl Sim<'_, '_> {
     }
 
     pub(crate) fn on_compute_start(&mut self, task: usize, epoch: u32) -> Result<(), EngineError> {
-        if self.tasks[task].epoch != epoch || self.tasks[task].status != Status::Running {
+        let live = self.tasks.get(task);
+        if live.is_none_or(|t| t.epoch != epoch || t.status != Status::Running) {
             return Ok(());
         }
         let device = self.tasks[task].device.expect("computing task is placed");

@@ -25,7 +25,7 @@ use crate::error::EngineError;
 use crate::estimate;
 use crate::exec::costmodel::{CostModelKind, ModelUpdate};
 use crate::exec::device_rt::DeviceSet;
-use crate::exec::event_loop::{Sim, Submission};
+use crate::exec::event_loop::{Sim, Submission, TaskTable};
 use crate::exec::memory::HeapSet;
 use crate::exec::metrics::{QueryOutcome, RunMetrics, StagingStats};
 use crate::exec::policy::PlacementPolicy;
@@ -408,7 +408,7 @@ impl<'a> Executor<'a> {
             fault: opts.fault.clone(),
             query_faults: Vec::new(),
             events: EventQueue::new(),
-            tasks: Vec::new(),
+            tasks: TaskTable::default(),
             queries: Vec::new(),
             devices: DeviceSet::new(device_count),
             sessions: sessions.into_iter().map(VecDeque::from).collect(),

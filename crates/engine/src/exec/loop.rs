@@ -78,6 +78,53 @@ pub(crate) struct TaskState {
     pub(crate) load_contribution: VirtualTime,
 }
 
+/// The run's task table, indexed by global task id (children before
+/// parents within a query, queries in admission order).
+///
+/// A query's tasks are retired when the query completes: nothing reads
+/// them afterwards, so host memory tracks the tasks in flight rather than
+/// every task the run has admitted. Ids are never reused, so trace task
+/// ids are the same as with a table that keeps everything.
+#[derive(Default)]
+pub(crate) struct TaskTable(Vec<Option<Box<TaskState>>>);
+
+impl TaskTable {
+    /// Number of task ids handed out so far (retired ones included).
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Admit a task under the next id.
+    pub(crate) fn push(&mut self, task: TaskState) {
+        self.0.push(Some(Box::new(task)));
+    }
+
+    /// The task behind `id`, unless its query already completed.
+    pub(crate) fn get(&self, id: usize) -> Option<&TaskState> {
+        self.0.get(id).and_then(|t| t.as_deref())
+    }
+
+    /// Free the tasks of a completed query.
+    pub(crate) fn retire(&mut self, ids: std::ops::RangeInclusive<usize>) {
+        for t in &mut self.0[ids] {
+            *t = None;
+        }
+    }
+}
+
+impl std::ops::Index<usize> for TaskTable {
+    type Output = TaskState;
+    fn index(&self, id: usize) -> &TaskState {
+        self.0[id].as_deref().expect("task of a query still in flight")
+    }
+}
+
+impl std::ops::IndexMut<usize> for TaskTable {
+    fn index_mut(&mut self, id: usize) -> &mut TaskState {
+        self.0[id].as_deref_mut().expect("task of a query still in flight")
+    }
+}
+
 /// The feed-table row range a windowed query execution scans:
 /// `[lo, hi)` of the table at registration index `table`. Scans of any
 /// other table (static dimensions) read in full.
@@ -160,7 +207,7 @@ pub(crate) struct Sim<'a, 'p> {
     /// Per-query fault counters, indexed by query id.
     pub(crate) query_faults: Vec<FaultCounters>,
     pub(crate) events: EventQueue<Ev>,
-    pub(crate) tasks: Vec<TaskState>,
+    pub(crate) tasks: TaskTable,
     pub(crate) queries: Vec<QueryState>,
     /// Per-device ready queues, worker slots and compute sets.
     pub(crate) devices: DeviceSet,

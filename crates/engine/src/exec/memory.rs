@@ -198,10 +198,11 @@ impl Sim<'_, '_> {
                 }
             }
         }
-        // Drop children chunks — they are fully consumed.
-        for &c in &self.tasks[task].children.clone() {
-            self.tasks[c].output = None;
-        }
+        // Children's chunks moved into this operator's kernel at start.
+        debug_assert!(
+            self.tasks[task].children.iter().all(|&c| self.tasks[c].output.is_none()),
+            "child outputs move into the parent kernel, never clone"
+        );
 
         let busy = self.now - self.tasks[task].start_time;
         self.metrics.record_op(device, busy);

@@ -334,7 +334,7 @@ fn rename_key_columns(chunk: Chunk, names: &[String]) -> Chunk {
             None => f.clone(),
         })
         .collect();
-    Chunk::new(fields, chunk.columns().to_vec())
+    Chunk::shared(fields, chunk.columns().to_vec())
 }
 
 #[cfg(test)]

@@ -91,7 +91,8 @@ pub enum TaskOp {
     /// One device-shard of a partitioned table scan: evaluates the pushed
     /// predicate over its [`ShardSpec::row_range`] only and emits the
     /// qualifying positions as a selection vector over the shared base
-    /// chunk. Produced by shard expansion at admission, never by planning.
+    /// chunk (the table's own column buffers). Produced by shard expansion
+    /// at admission, never by planning.
     ScanShard {
         /// Table to read.
         table: String,
@@ -103,10 +104,10 @@ pub enum TaskOp {
         shard: ShardSpec,
     },
     /// Merge barrier for a sharded scan: concatenates its children's
-    /// (disjoint, ordered) shard selection vectors and gathers **once**
-    /// from the shared base chunk, so the union is byte-identical to the
-    /// unsharded [`TaskOp::Scan`] output — same rows, same order, same
-    /// string dictionaries.
+    /// (disjoint, ordered) shard selection vectors into one view over the
+    /// shared base chunk, so the union is byte-identical to the unsharded
+    /// [`TaskOp::Scan`] output — same rows, same order, same string
+    /// dictionaries — without gathering a single payload byte.
     MergeShards {
         /// Columns the merged scan outputs.
         columns: Vec<String>,
@@ -172,15 +173,10 @@ impl TaskOp {
         ctx: ParallelCtx,
     ) -> Result<Chunk, String> {
         match self {
-            TaskOp::Scan { table, columns, predicate } => {
-                let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-                let (_, read_cols) = self.scan_access().expect("scan op");
-                let chunk = Chunk::from_table(t, &read_cols)?;
-                let filtered = match predicate {
-                    Some(p) => parallel::select(&chunk, p, ctx)?,
-                    None => chunk,
-                };
-                ops::project::keep_columns(&filtered, columns)
+            // Shard outputs keep the predicate columns in their base; the
+            // materialized form holds the output columns only.
+            TaskOp::Scan { columns, .. } | TaskOp::ScanShard { columns, .. } => {
+                ops::project::keep_columns(&self.scan(db, ctx, None)?.materialize(), columns)
             }
             TaskOp::Select { predicate } => {
                 parallel::select(&children[0], predicate, ctx)
@@ -198,13 +194,6 @@ impl TaskOp {
                 parallel::aggregate(&children[0], group_by, aggs, ctx)
             }
             TaskOp::Sort { keys, limit } => ops::sort::sort(&children[0], keys, *limit),
-            TaskOp::ScanShard { table, columns, shard, .. } => {
-                let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-                let (_, read_cols) = self.scan_access().expect("scan op");
-                let chunk = Chunk::from_table(t, &read_cols)?;
-                let sel = shard_positions(&chunk, self.shard_predicate(), *shard)?;
-                ops::project::keep_columns(&chunk.gather(sel.positions()), columns)
-            }
             TaskOp::MergeShards { columns } => {
                 let merged = Chunk::concat(children)?;
                 ops::project::keep_columns(&merged, columns)
@@ -215,7 +204,10 @@ impl TaskOp {
     /// Execute the kernel over lazily-filtered inputs, producing a lazy
     /// output — the executor's late-materialization path.
     ///
-    /// A `Select` never materializes: it emits (or refines, for an already
+    /// Scans and shard merges never copy payloads: a scan's base chunk
+    /// shares the table's column buffers and its predicate yields a
+    /// selection vector over them; a merge concatenates its shards'
+    /// selection vectors. A `Select` emits (or refines, for an already
     /// filtered input) a selection vector over the child's base chunk.
     /// Downstream operators consume `(base, selvec)` directly — joins probe
     /// through the selection, aggregations accumulate at selected positions,
@@ -232,19 +224,17 @@ impl TaskOp {
         ctx: ParallelCtx,
     ) -> Result<LazyChunk, String> {
         match self {
-            TaskOp::Scan { .. } => {
-                Ok(LazyChunk::Materialized(self.execute_ctx(&[], db, ctx)?))
-            }
-            TaskOp::Select { predicate } => match children[0].clone() {
+            TaskOp::Scan { .. } | TaskOp::ScanShard { .. } => self.scan(db, ctx, None),
+            TaskOp::Select { predicate } => match &children[0] {
                 LazyChunk::Materialized(c) => {
-                    let sel = parallel::select_positions(&c, predicate, ctx)?;
-                    Ok(LazyChunk::Filtered { base: Arc::new(c), sel })
+                    let sel = parallel::select_positions(c, predicate, ctx)?;
+                    Ok(LazyChunk::Filtered { base: Arc::new(c.clone()), sel })
                 }
                 LazyChunk::Filtered { base, sel } => {
                     // AND short-circuit: refine the incoming selection in
                     // place instead of rescanning the base chunk.
-                    let sel = crate::simd::refine_selvec(predicate, &base, &sel)?;
-                    Ok(LazyChunk::Filtered { base, sel })
+                    let sel = crate::simd::refine_selvec(predicate, base, sel)?;
+                    Ok(LazyChunk::Filtered { base: Arc::clone(base), sel })
                 }
             },
             TaskOp::HashJoin { build_key, probe_key, kind } => {
@@ -294,22 +284,12 @@ impl TaskOp {
                 let out = ops::sort::sort(&children[0].chunk(), keys, *limit)?;
                 Ok(LazyChunk::Materialized(out))
             }
-            TaskOp::ScanShard { table, shard, .. } => {
-                // Never materializes: the shard's qualifying positions ride
-                // as a selection vector over the full base chunk so the
-                // merge can gather once, exactly like the unsharded path.
-                let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-                let (_, read_cols) = self.scan_access().expect("scan op");
-                let chunk = Chunk::from_table(t, &read_cols)?;
-                let sel = shard_positions(&chunk, self.shard_predicate(), *shard)?;
-                Ok(LazyChunk::Filtered { base: Arc::new(chunk), sel })
-            }
             TaskOp::MergeShards { columns } => {
                 // Children are ScanShard outputs in shard order: disjoint,
-                // ordered selections over identical base chunks. Their
-                // concatenation is strictly increasing, so one gather from
-                // the first child's base reproduces the unsharded
-                // Scan output bit for bit (shared dictionaries included).
+                // ordered selections over the same shared base. Their
+                // concatenation is strictly increasing, so one view over
+                // the first child's base is the unsharded Scan output bit
+                // for bit (shared dictionaries included).
                 let mut positions: Vec<u32> = Vec::with_capacity(
                     children.iter().map(LazyChunk::num_rows).sum(),
                 );
@@ -327,20 +307,20 @@ impl TaskOp {
                     }
                 }
                 let base = base.ok_or("merge of zero shards")?;
-                let merged = base.gather(&positions);
-                Ok(LazyChunk::Materialized(ops::project::keep_columns(
-                    &merged, columns,
-                )?))
+                Ok(LazyChunk::filtered(
+                    ops::project::keep_columns(base, columns)?,
+                    SelVec::new(positions),
+                ))
             }
         }
     }
 
     /// [`TaskOp::execute_lazy`] restricted to a standing-query window:
-    /// when `window` names this op's scan table, base chunks are built
-    /// from the row range `[lo, hi)` instead of the full table. Every
-    /// other operator (and scans of non-windowed tables, e.g. static
-    /// dimension tables) delegates to the unwindowed path, so a window
-    /// covering the whole table is bit-identical to a plain run.
+    /// when `window` names this op's scan table, the scan reads only the
+    /// row range `[lo, hi)`. Every other operator (and scans of
+    /// non-windowed tables, e.g. static dimension tables) takes the
+    /// unwindowed path, so a window covering the whole table is
+    /// bit-identical to a plain run.
     pub fn execute_windowed(
         &self,
         children: &[LazyChunk],
@@ -348,36 +328,64 @@ impl TaskOp {
         ctx: ParallelCtx,
         window: Option<(&str, usize, usize)>,
     ) -> Result<LazyChunk, String> {
-        let bounds = match (self, window) {
-            (
-                TaskOp::Scan { table, .. } | TaskOp::ScanShard { table, .. },
-                Some((w_table, lo, hi)),
-            ) if table == w_table => (lo, hi),
-            _ => return self.execute_lazy(children, db, ctx),
-        };
-        let (lo, hi) = bounds;
         match self {
-            TaskOp::Scan { table, columns, predicate } => {
-                let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-                let (_, read_cols) = self.scan_access().expect("scan op");
-                let chunk = Chunk::from_table_range(t, &read_cols, lo, hi)?;
-                let filtered = match predicate {
-                    Some(p) => parallel::select(&chunk, p, ctx)?,
-                    None => chunk,
-                };
-                Ok(LazyChunk::Materialized(ops::project::keep_columns(
-                    &filtered, columns,
-                )?))
-            }
-            TaskOp::ScanShard { table, shard, .. } => {
-                let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
-                let (_, read_cols) = self.scan_access().expect("scan op");
-                let chunk = Chunk::from_table_range(t, &read_cols, lo, hi)?;
-                let sel = shard_positions(&chunk, self.shard_predicate(), *shard)?;
-                Ok(LazyChunk::Filtered { base: Arc::new(chunk), sel })
-            }
-            _ => unreachable!("bounds only match scan ops"),
+            TaskOp::Scan { .. } | TaskOp::ScanShard { .. } => self.scan(db, ctx, window),
+            _ => self.execute_lazy(children, db, ctx),
         }
+    }
+
+    /// The one scan path, shared by whole, windowed and sharded scans.
+    ///
+    /// The base chunk shares the table's column buffers. The scanned rows
+    /// are the whole table, or `[lo, hi)` when `window` names this scan's
+    /// table; a shard scans its [`ShardSpec::row_range`] of those rows.
+    /// Qualifying positions ride as a selection vector over the base, so
+    /// no payload byte is copied, and the logical `num_rows`/`byte_size`
+    /// equal those of the gathered result.
+    fn scan(
+        &self,
+        db: &Database,
+        ctx: ParallelCtx,
+        window: Option<(&str, usize, usize)>,
+    ) -> Result<LazyChunk, String> {
+        let (table, columns, predicate, shard) = match self {
+            TaskOp::Scan { table, columns, predicate } => (table, columns, predicate, None),
+            TaskOp::ScanShard { table, columns, predicate, shard } => {
+                (table, columns, predicate, Some(*shard))
+            }
+            _ => unreachable!("scan of a non-scan operator"),
+        };
+        let t = db.table(table).ok_or_else(|| format!("no table {table}"))?;
+        let (_, read_cols) = self.scan_access().expect("scan op");
+        let chunk = Chunk::from_table(t, &read_cols)?;
+        let n = chunk.num_rows();
+        let window = window
+            .filter(|&(w, ..)| w == table)
+            .map(|(_, lo, hi)| lo.min(n)..hi.min(n));
+        let whole = window.is_none() && shard.is_none();
+        let range = window.unwrap_or(0..n);
+        let rows = match shard {
+            Some(s) => {
+                let r = s.row_range(range.len());
+                range.start + r.start..range.start + r.end
+            }
+            None => range,
+        };
+        let sel = match predicate {
+            Some(p) => parallel::select_positions_range(&chunk, p, rows, ctx)?,
+            None if whole => {
+                return Ok(LazyChunk::Materialized(ops::project::keep_columns(
+                    &chunk, columns,
+                )?));
+            }
+            None => SelVec::new(rows.map(|i| i as u32).collect()),
+        };
+        Ok(match shard {
+            // A shard's base keeps the predicate columns: its logical size
+            // is what the merge's positional cost accounting charges.
+            Some(_) => LazyChunk::Filtered { base: Arc::new(chunk), sel },
+            None => LazyChunk::filtered(ops::project::keep_columns(&chunk, columns)?, sel),
+        })
     }
 
     /// Short label for diagnostics.
@@ -392,32 +400,6 @@ impl TaskOp {
             TaskOp::ScanShard { .. } => "scan-shard",
             TaskOp::MergeShards { .. } => "merge",
         }
-    }
-
-    /// The pushed-down predicate of a (sharded) scan, if any.
-    fn shard_predicate(&self) -> Option<&Predicate> {
-        match self {
-            TaskOp::Scan { predicate, .. }
-            | TaskOp::ScanShard { predicate, .. } => predicate.as_ref(),
-            _ => None,
-        }
-    }
-}
-
-/// Qualifying positions of `shard`'s row range of `chunk`: the range
-/// identity when there is no predicate, otherwise the predicate refined
-/// over exactly that range. Concatenating consecutive shards' outputs
-/// equals the unsharded full-chunk selection vector.
-fn shard_positions(
-    chunk: &Chunk,
-    predicate: Option<&Predicate>,
-    shard: ShardSpec,
-) -> Result<SelVec, String> {
-    let range = shard.row_range(chunk.num_rows());
-    let identity = SelVec::new(range.map(|i| i as u32).collect());
-    match predicate {
-        Some(p) => p.evaluate_selvec(chunk, Some(&identity)),
-        None => Ok(identity),
     }
 }
 
@@ -583,6 +565,43 @@ mod tests {
                     .materialize();
                 assert_eq!(merged, whole, "of={of} predicate={predicate:?}");
             }
+        }
+    }
+
+    #[test]
+    fn scans_and_merges_share_the_table_buffers() {
+        use robustq_storage::gen::ssb::SsbGenerator;
+        let db = SsbGenerator::new(1).with_rows_per_sf(500).generate();
+        let t = db.table("lineorder").unwrap();
+        let revenue = &t.columns()[t.schema().index_of("lo_revenue").unwrap()];
+        let cols = vec!["lo_revenue".to_string()];
+        let ctx = ParallelCtx::serial();
+        for predicate in [None, Some(Predicate::between("lo_discount", 1, 3))] {
+            let scan = TaskOp::Scan {
+                table: "lineorder".into(),
+                columns: cols.clone(),
+                predicate: predicate.clone(),
+            };
+            let out = scan.execute_lazy(&[], &db, ctx).unwrap();
+            assert!(Arc::ptr_eq(&out.parts().0.columns()[0], revenue), "{predicate:?}");
+            let shards: Vec<LazyChunk> = (0..2)
+                .map(|index| {
+                    TaskOp::ScanShard {
+                        table: "lineorder".into(),
+                        columns: cols.clone(),
+                        predicate: predicate.clone(),
+                        shard: ShardSpec { index, of: 2 },
+                    }
+                    .execute_lazy(&[], &db, ctx)
+                    .unwrap()
+                })
+                .collect();
+            let merged = TaskOp::MergeShards { columns: cols.clone() }
+                .execute_lazy(&shards, &db, ctx)
+                .unwrap();
+            assert!(matches!(merged, LazyChunk::Filtered { .. }), "merge must not gather");
+            assert!(Arc::ptr_eq(&merged.parts().0.columns()[0], revenue));
+            assert_eq!(merged.materialize(), out.materialize());
         }
     }
 

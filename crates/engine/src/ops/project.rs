@@ -3,6 +3,7 @@
 use crate::batch::Chunk;
 use crate::expr::Expr;
 use robustq_storage::Field;
+use std::sync::Arc;
 
 /// Compute named expressions over `chunk`.
 pub fn project(chunk: &Chunk, exprs: &[(String, Expr)]) -> Result<Chunk, String> {
@@ -37,7 +38,8 @@ pub fn project_at(
     Ok(Chunk::new(fields, columns))
 }
 
-/// Keep only the named columns, in the given order.
+/// Keep only the named columns, in the given order. The result shares
+/// the kept column buffers with `chunk`.
 pub fn keep_columns(chunk: &Chunk, names: &[String]) -> Result<Chunk, String> {
     let mut fields = Vec::with_capacity(names.len());
     let mut columns = Vec::with_capacity(names.len());
@@ -46,9 +48,9 @@ pub fn keep_columns(chunk: &Chunk, names: &[String]) -> Result<Chunk, String> {
             .index_of(name)
             .ok_or_else(|| format!("no column {name} in chunk"))?;
         fields.push(chunk.fields()[idx].clone());
-        columns.push(chunk.columns()[idx].clone());
+        columns.push(Arc::clone(&chunk.columns()[idx]));
     }
-    Ok(Chunk::new(fields, columns))
+    Ok(Chunk::shared(fields, columns))
 }
 
 #[cfg(test)]

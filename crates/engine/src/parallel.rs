@@ -449,19 +449,33 @@ pub fn select_positions(
     predicate: &Predicate,
     ctx: ParallelCtx,
 ) -> Result<SelVec, String> {
-    let pred = ProdPred::compile(predicate, chunk)?;
+    select_positions_range(chunk, predicate, 0..chunk.num_rows(), ctx)
+}
+
+/// [`select_positions`] restricted to the row range `rows` of `chunk`:
+/// the qualifying positions of that range, as positions into `chunk`.
+/// This is the scan path for windows and shards, which read a row range
+/// of the shared full-table chunk instead of copying it out.
+pub fn select_positions_range(
+    chunk: &Chunk,
+    predicate: &Predicate,
+    rows: Range<usize>,
+    ctx: ParallelCtx,
+) -> Result<SelVec, String> {
+    let n = rows.len();
     if ctx.is_serial()
-        || !ctx.should_parallelize_kernel(chunk.num_rows(), KernelClass::Selection)
-        || !ctx.fans_out(chunk.num_rows())
+        || !ctx.should_parallelize_kernel(n, KernelClass::Selection)
+        || !ctx.fans_out(n)
     {
         let mut positions = Vec::new();
-        pred.append_range(0..chunk.num_rows(), &mut positions)?;
+        crate::simd::eval_positions_range(predicate, chunk, rows, &mut positions)?;
         return Ok(SelVec::new(positions));
     }
-    let positions =
-        ctx.run_morsels_arena(chunk.num_rows(), |rows, out: &mut Vec<u32>| {
-            pred.append_range(rows, out)
-        })?;
+    let pred = ProdPred::compile(predicate, chunk)?;
+    let lo = rows.start;
+    let positions = ctx.run_morsels_arena(n, |r, out: &mut Vec<u32>| {
+        pred.append_range(lo + r.start..lo + r.end, out)
+    })?;
     Ok(SelVec::new(positions))
 }
 

@@ -12,6 +12,7 @@ use crate::column::ColumnData;
 use crate::error::StorageError;
 use crate::types::DataType;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Default open-segment size (rows) after which [`Table::append_batch`]
 /// seals the segment.
@@ -132,6 +133,11 @@ impl SegmentMeta {
 
 /// A fully materialized table: a schema plus one column per field.
 ///
+/// Columns sit behind [`Arc`]s so scans hand them to query chunks by
+/// reference count instead of copying payloads. Appends are
+/// copy-on-write ([`Arc::make_mut`]): a chunk still holding a column
+/// keeps its pre-append snapshot while the table grows a fresh copy.
+///
 /// Invariant: all columns have the same number of rows and each column's
 /// type matches its schema field. Segment metadata partitions the row
 /// space: segments are contiguous, non-overlapping, and cover exactly
@@ -140,7 +146,7 @@ impl SegmentMeta {
 pub struct Table {
     name: String,
     schema: Schema,
-    columns: Vec<ColumnData>,
+    columns: Vec<Arc<ColumnData>>,
     segments: Vec<SegmentMeta>,
 }
 
@@ -192,6 +198,7 @@ impl Table {
             }
         }
         let rows = rows.unwrap_or(0);
+        let columns: Vec<Arc<ColumnData>> = columns.into_iter().map(Arc::new).collect();
         let mut segments = Vec::new();
         if rows > 0 {
             segments.push(SegmentMeta {
@@ -217,7 +224,7 @@ impl Table {
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.columns.first().map_or(0, ColumnData::len)
+        self.columns.first().map_or(0, |c| c.len())
     }
 
     /// Number of columns.
@@ -225,14 +232,16 @@ impl Table {
         self.columns.len()
     }
 
-    /// The column data, in schema order.
-    pub fn columns(&self) -> &[ColumnData] {
+    /// The column data, in schema order. Cloning an entry is a
+    /// reference-count bump, which is how scans read the table without
+    /// copying.
+    pub fn columns(&self) -> &[Arc<ColumnData>] {
         &self.columns
     }
 
     /// Column by name.
     pub fn column(&self, name: &str) -> Option<&ColumnData> {
-        self.schema.index_of(name).map(|i| &self.columns[i])
+        self.schema.index_of(name).map(|i| &*self.columns[i])
     }
 
     /// Column by positional index.
@@ -242,7 +251,7 @@ impl Table {
 
     /// Total payload bytes across all columns.
     pub fn byte_size(&self) -> u64 {
-        self.columns.iter().map(ColumnData::byte_size).sum()
+        self.columns.iter().map(|c| c.byte_size()).sum()
     }
 
     /// The segment metadata, in row order.
@@ -265,8 +274,9 @@ impl Table {
     /// last segment is sealed — whose stats are updated incrementally;
     /// once the open segment reaches `seal_rows` rows it is sealed and
     /// its stats recomputed exactly from the stored rows. `epoch` is the
-    /// database epoch this append commits under. Returns the number of
-    /// rows appended.
+    /// database epoch this append commits under. Columns still shared
+    /// with a query chunk are copied before they grow, so the chunk keeps
+    /// its snapshot. Returns the number of rows appended.
     pub fn append_batch(
         &mut self,
         columns: Vec<ColumnData>,
@@ -318,7 +328,7 @@ impl Table {
         }
         let old_rows = self.num_rows();
         for (base, batch) in self.columns.iter_mut().zip(&columns) {
-            base.append(batch);
+            Arc::make_mut(base).append(batch);
         }
         let new_rows = old_rows + batch_rows;
         // Stats for the appended rows, read back from the consolidated
@@ -374,7 +384,7 @@ impl Table {
 
 /// Per-column min/max over rows `[lo, hi)` of `columns`.
 fn compute_stats(
-    columns: &[ColumnData],
+    columns: &[Arc<ColumnData>],
     lo: usize,
     hi: usize,
 ) -> Vec<Option<ColStats>> {

@@ -26,6 +26,7 @@ use robustq_engine::plan::{AggFunc, AggSpec, PlanNode};
 use robustq_engine::{Chunk, RunMetrics};
 use robustq_sim::{SimConfig, VirtualTime};
 use robustq_storage::{ColumnData, Database, Table};
+use std::sync::Arc;
 
 /// Split `db`'s `fact_table` row-wise into `n` partitions, replicating
 /// every other table.
@@ -159,13 +160,13 @@ fn restore_count_types(chunk: Chunk, aggs: &[AggSpec]) -> Result<Chunk, String> 
     let mut columns = chunk.columns().to_vec();
     for (f, c) in fields.iter_mut().zip(columns.iter_mut()) {
         if needs_cast.contains(&f.name.as_str()) {
-            if let ColumnData::Float64(v) = c {
-                *c = ColumnData::Int64(v.iter().map(|&x| x as i64).collect());
+            if let ColumnData::Float64(v) = &**c {
+                *c = Arc::new(ColumnData::Int64(v.iter().map(|&x| x as i64).collect()));
                 f.data_type = robustq_storage::DataType::Int64;
             }
         }
     }
-    Ok(Chunk::new(fields, columns))
+    Ok(Chunk::shared(fields, columns))
 }
 
 /// Run `queries` on `parts` partitions in parallel (each on its own

@@ -92,7 +92,7 @@ impl SsbStreamGen {
             let columns = if table.name() == "lineorder" {
                 (0..table.num_columns()).map(|i| table.column_slice(i, 0, base)).collect()
             } else {
-                table.columns().to_vec()
+                table.columns().iter().map(|c| (**c).clone()).collect()
             };
             db.add_table(Table::new(table.name(), table.schema().clone(), columns)?)?;
         }
@@ -182,7 +182,7 @@ impl SsbStreamData {
             let columns = if table.name() == "lineorder" {
                 (0..table.num_columns()).map(|i| table.column_slice(i, lo, hi)).collect()
             } else {
-                table.columns().to_vec()
+                table.columns().iter().map(|c| (**c).clone()).collect()
             };
             db.add_table(Table::new(table.name(), table.schema().clone(), columns).unwrap())
                 .unwrap();

@@ -252,3 +252,46 @@ fn empty_fault_plan_is_byte_identical() {
         );
     }
 }
+
+/// Operators aborted mid-flight — by heap pressure or by an injected
+/// kernel fault — restart on the CPU from the kernel result they
+/// computed at first start. Their children's outputs already moved into
+/// that kernel (the executor hands child outputs over by move, never by
+/// clone; debug builds assert at completion that none is left behind),
+/// so the restart must not need them. Every result, sharded or not,
+/// still equals the reference interpreter.
+#[test]
+fn aborted_operators_rerun_after_child_outputs_moved() {
+    use robustq::engine::{ops, ExecOptions, Executor, PlanNode};
+    let db = db();
+    let plans: Vec<PlanNode> = ssb::workload(&db).unwrap();
+    let expected: Vec<_> =
+        plans.iter().map(|p| ops::execute_plan(p, &db).unwrap().sorted_rows()).collect();
+    let heap_pressure = (FaultPlan::disabled(), 256 * 1024);
+    let spec = FaultSpec { kernel_abort_prob: 0.5, ..FaultSpec::default() };
+    let kernel_faults = (FaultPlan::new(7, spec), 16 * 1024 * 1024);
+    for (label, (fault, memory)) in [("heap", heap_pressure), ("fault", kernel_faults)] {
+        for k in [1, 2] {
+            let sim = SimConfig::default()
+                .with_gpu_memory(memory)
+                .with_gpu_cache(memory / 2)
+                .with_coprocessors(k);
+            let opts = ExecOptions {
+                capture_results: true,
+                fault: fault.clone(),
+                shard_ways: if k >= 2 { k } else { 0 },
+                ..ExecOptions::default()
+            };
+            let mut policy = Strategy::DataDrivenChopping.build();
+            let out = Executor::new(&db, sim)
+                .run(vec![plans.clone(); 2], policy.as_mut(), &opts)
+                .unwrap();
+            assert!(out.metrics.aborts > 0, "{label} K={k}: nothing aborted");
+            assert_eq!(out.outcomes.len(), 2 * plans.len());
+            for o in &out.outcomes {
+                let got = o.result.as_ref().expect("captured result").sorted_rows();
+                assert_eq!(got, expected[o.seq], "{label} K={k}: query {}", o.seq);
+            }
+        }
+    }
+}

@@ -2,11 +2,15 @@
 //! incrementally maintained segment statistics match a from-scratch
 //! recomputation after any append/seal history, and snapshots are
 //! isolated — data visible at an epoch never changes as later batches
-//! commit.
+//! commit. Window and shard range scans, which read a row range of the
+//! shared full-table columns, match a copy of exactly those rows.
 
 use proptest::prelude::*;
+use robustq::engine::exec::task::TaskOp;
+use robustq::engine::predicate::Predicate;
+use robustq::engine::{ops, Chunk, LazyChunk, ParallelCtx, ShardSpec};
 use robustq::storage::{
-    ColumnData, Database, DataType, DbEpoch, Field, Schema, Table,
+    ColumnData, Database, DataType, DbEpoch, DictColumn, Field, Schema, Table,
 };
 
 /// A database with one two-column table built from the first batch, plus
@@ -147,5 +151,154 @@ proptest! {
             );
         }
         prop_assert_eq!(visible, db.tables()[t].num_rows());
+    }
+}
+
+/// A three-column table (`a` Int32, `b` Int64, `s` Str) built from the
+/// first batch and grown by `batches`, sealing every `seal_rows` rows.
+fn segmented_db(
+    first: &[(i32, i64)],
+    batches: &[Vec<(i32, i64)>],
+    seal_rows: usize,
+) -> Database {
+    let cols = |rows: &[(i32, i64)]| {
+        let (a, b): (Vec<i32>, Vec<i64>) = rows.iter().copied().unzip();
+        let s = DictColumn::from_strings(a.iter().map(|v| format!("k{}", v.rem_euclid(4))));
+        vec![ColumnData::Int32(a), ColumnData::Int64(b), ColumnData::Str(s)]
+    };
+    let mut db = Database::new();
+    db.set_seal_rows(seal_rows);
+    let schema = Schema::new(vec![
+        Field::new("a", DataType::Int32),
+        Field::new("b", DataType::Int64),
+        Field::new("s", DataType::Str),
+    ]);
+    db.add_table(Table::new("t", schema, cols(first)).unwrap()).unwrap();
+    for rows in batches {
+        db.append_batch("t", cols(rows)).unwrap();
+    }
+    db
+}
+
+/// The copying range scan the executor used before scans shared the
+/// table's columns: copy rows `[lo, hi)` of the read columns out with
+/// `Table::column_slice`, filter with the scalar reference selection,
+/// then keep `out`.
+fn copied_range_scan(
+    table: &Table,
+    read: &[String],
+    out: &[String],
+    predicate: Option<&Predicate>,
+    lo: usize,
+    hi: usize,
+) -> Chunk {
+    let idx: Vec<usize> =
+        read.iter().map(|n| table.schema().index_of(n).unwrap()).collect();
+    let chunk = Chunk::new(
+        idx.iter().map(|&i| table.schema().field(i).clone()).collect(),
+        idx.iter().map(|&i| table.column_slice(i, lo, hi)).collect(),
+    );
+    let chunk = match predicate {
+        Some(p) => ops::select::select(&chunk, p).unwrap(),
+        None => chunk,
+    };
+    ops::project::keep_columns(&chunk, out).unwrap()
+}
+
+/// Assert a lazy scan output is logically and physically the reference.
+fn assert_same(got: LazyChunk, want: &Chunk, what: &str) {
+    assert_eq!(got.num_rows(), want.num_rows(), "{what} rows");
+    assert_eq!(got.byte_size(), want.byte_size(), "{what} bytes");
+    assert_eq!(&got.materialize(), want, "{what} payload");
+}
+
+proptest! {
+    /// Window and shard range scans over the shared full-table columns
+    /// materialize byte-identical to copying the window's rows out, with
+    /// the same logical `num_rows`/`byte_size` (what the cost model and
+    /// traces consume): empty, segment-boundary, cross-segment and
+    /// full-table windows, with and without a predicate, at shard counts
+    /// 1–3, serial and morsel-parallel.
+    #[test]
+    fn range_scans_match_copied_rows(
+        first in prop::collection::vec((-8i32..8, -100i64..100), 1..30),
+        batches in prop::collection::vec(
+            prop::collection::vec((-8i32..8, -100i64..100), 1..20),
+            0..4,
+        ),
+        seal_rows in 3usize..25,
+        cut in (0usize..200, 0usize..200),
+    ) {
+        let db = segmented_db(&first, &batches, seal_rows);
+        let table = db.table("t").unwrap();
+        let n = table.num_rows();
+        let mut windows = vec![(0, 0), (n, n), (0, n)];
+        let segs: Vec<_> = table.segments().iter().map(|s| s.rows()).collect();
+        for a in &segs {
+            windows.push((a.start, a.start));
+            for b in segs.iter().filter(|b| b.end >= a.start) {
+                windows.push((a.start, b.end));
+            }
+        }
+        let (x, y) = (cut.0 % (n + 1), cut.1 % (n + 1));
+        windows.push((x.min(y), x.max(y)));
+
+        let out = vec!["b".to_string(), "s".into()];
+        let predicates = [
+            None,
+            Some(Predicate::between("a", -3, 3)),
+            Some(Predicate::eq("s", "k1")),
+        ];
+        let parallel = ParallelCtx::serial()
+            .with_workers(2)
+            .with_morsel_rows(4)
+            .with_min_rows_per_worker(0);
+        for ctx in [ParallelCtx::serial(), parallel] {
+            for predicate in &predicates {
+                let scan = TaskOp::Scan {
+                    table: "t".into(),
+                    columns: out.clone(),
+                    predicate: predicate.clone(),
+                };
+                let (_, read) = scan.scan_access().unwrap();
+                for &(lo, hi) in &windows {
+                    let window = Some(("t", lo, hi));
+                    let want = copied_range_scan(table, &read, &out, predicate.as_ref(), lo, hi);
+                    let got = scan.execute_windowed(&[], &db, ctx, window).unwrap();
+                    assert_same(got, &want, &format!("scan {lo}..{hi} {predicate:?}"));
+                    for of in 1..=3u32 {
+                        let shards: Vec<LazyChunk> = (0..of)
+                            .map(|index| {
+                                let shard = ShardSpec { index, of };
+                                let op = TaskOp::ScanShard {
+                                    table: "t".into(),
+                                    columns: out.clone(),
+                                    predicate: predicate.clone(),
+                                    shard,
+                                };
+                                let got = op.execute_windowed(&[], &db, ctx, window).unwrap();
+                                // A shard's logical output is its slice of
+                                // the window over all read columns.
+                                let r = shard.row_range(hi - lo);
+                                let want = copied_range_scan(
+                                    table,
+                                    &read,
+                                    &read,
+                                    predicate.as_ref(),
+                                    lo + r.start,
+                                    lo + r.end,
+                                );
+                                assert_same(got.clone(), &want, &format!("shard {index}/{of}"));
+                                got
+                            })
+                            .collect();
+                        let merged = TaskOp::MergeShards { columns: out.clone() }
+                            .execute_windowed(&shards, &db, ctx, window)
+                            .unwrap();
+                        assert_same(merged, &want, &format!("merge of {of} over {lo}..{hi}"));
+                    }
+                }
+            }
+        }
     }
 }
